@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint race cover bench bench-short bench-dirty bench-interp bench-multitenant bench-delta race-interp race-tenant generate check-generated infer infer-check faultcheck difftest rewind-check fuzz-smoke experiments examples clean
+.PHONY: all build test lint race cover bench bench-short bench-dirty bench-interp bench-multitenant bench-delta race-interp race-tenant race-multicore generate check-generated infer infer-check faultcheck difftest rewind-check fuzz-smoke experiments examples clean
 
 all: build test lint
 
@@ -38,15 +38,13 @@ bench-dirty:
 	$(GO) test -count=1 -run 'TestSteadyStateDirtyFoldAllocsZero|TestSteadyStateNilEmitDirtyFoldAllocsZero|TestPooledEncoderAllocsZero' ./ckpt/ ./wire/
 	$(GO) run ./cmd/ckptbench -experiment dirtyset -n 20000 -reps 7 -warmup 2
 
-# Interpreter workload sweep: zero-copy encode (Reserve/SwapEncoder/Submit)
-# vs the scratch-encoder baseline across program size x allocation churn,
-# written as BENCH_interp.json, gated by the zero-allocation regression tests
-# for the mutation step and the fused dirty fold under interpreter churn.
+# Interpreter workload gates: the zero-allocation regression tests for the
+# mutation step and the fused dirty fold under interpreter churn. The
+# end-to-end interp workload lives in e2ebench (BENCHMARK.json).
 bench-interp:
 	$(GO) test -count=1 -run 'TestMutationStepAllocsZero|TestInterpDirtyEpochAllocsZero' ./internal/interp/
-	$(GO) run ./cmd/ckptbench -experiment interp -reps 7 -warmup 2
 
-# Sub-object delta sweep: payload size x mutated byte fraction x encode path,
+# Sub-object delta sweep: payload size x mutated byte fraction,
 # delta-encoding writer vs plain writer on twin populations, written as
 # BENCH_delta.json (records GOMAXPROCS and the physical core count), gated by
 # the delta round-trip, shadow-commit coherence, and apply-buffer-reuse tests.
@@ -57,6 +55,12 @@ bench-delta:
 # Race leg over the interpreter workload and the zero-copy encode substrate.
 race-interp:
 	$(GO) test -race -count=1 ./internal/interp/ ./ckpt/ ./wire/ ./stablelog/
+
+# Race leg at GOMAXPROCS=4, so fold workers interleave even on hosts with
+# fewer cores: the shared reflection engine under parallel folds, the
+# parallel fold, the multi-tenant service and the differential suite.
+race-multicore:
+	GOMAXPROCS=4 $(GO) test -race -count=1 ./reflectckpt/ ./ckpt/parfold/ ./ckpt/tenant/ ./internal/difftest/
 
 # Multi-tenant service sweep: tenant count x churn rate x worker count over
 # one shared worker pool and AsyncWriter log, written as

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ickpt/ckpt"
+	"ickpt/wire"
 )
 
 // TestFreshAllocationDegradationTrigger pins the degradation trigger count:
@@ -115,47 +116,43 @@ func TestAdoptWithoutTracker(t *testing.T) {
 	}
 }
 
-// TestScratchAndZeroCopyBodiesIdentical pins the zero-copy encode contract:
-// the default direct path (reserve a length placeholder, encode the payload
-// in place, patch) produces bodies byte-identical to the scratch-copy
-// baseline — across full and incremental modes and across the patch size
-// classes (payloads under and over 128 bytes).
-func TestScratchAndZeroCopyBodiesIdentical(t *testing.T) {
-	build := func(opts ...ckpt.WriterOption) [][]byte {
-		d := ckpt.NewDomain()
-		small := newPoint(d, 1, 2, "s")
-		big := newPoint(d, 3, 4, string(bytes.Repeat([]byte("x"), 300)))
-		small.next = big
-		w := ckpt.NewWriter(opts...)
-		var bodies [][]byte
-		for _, mode := range []ckpt.Mode{ckpt.Full, ckpt.Incremental, ckpt.Incremental} {
-			if mode == ckpt.Incremental {
-				small.x++
-				small.info.SetModified()
-				big.label += "y"
-				big.info.SetModified()
-			}
-			w.Start(mode)
-			if err := w.Checkpoint(small); err != nil {
-				t.Fatal(err)
-			}
-			body, _, err := w.Finish()
-			if err != nil {
-				t.Fatal(err)
-			}
-			bodies = append(bodies, append([]byte(nil), body...))
+// TestZeroCopyBodiesMatchIndependentFraming pins the zero-copy encode
+// contract: the emitter's direct path (reserve a length placeholder, encode
+// the payload in place, patch) produces version-1 bodies byte-identical to
+// records framed independently from each object's Record output — across
+// full and incremental modes and across the patch size classes (payloads
+// under and over 128 bytes, where PatchUvarint shifts the payload).
+func TestZeroCopyBodiesMatchIndependentFraming(t *testing.T) {
+	d := ckpt.NewDomain()
+	small := newPoint(d, 1, 2, "s")
+	big := newPoint(d, 3, 4, string(bytes.Repeat([]byte("x"), 300)))
+	small.next = big
+	w := ckpt.NewWriter()
+	for i, mode := range []ckpt.Mode{ckpt.Full, ckpt.Incremental, ckpt.Incremental} {
+		if mode == ckpt.Incremental {
+			small.x++
+			small.info.SetModified()
+			big.label += "y"
+			big.info.SetModified()
 		}
-		return bodies
-	}
-	direct := build()
-	scratch := build(ckpt.WithScratchEncode())
-	if len(direct) != len(scratch) {
-		t.Fatalf("body counts differ: %d vs %d", len(direct), len(scratch))
-	}
-	for i := range direct {
-		if !bytes.Equal(direct[i], scratch[i]) {
-			t.Fatalf("body %d: zero-copy and scratch streams differ (%d vs %d bytes)",
-				i, len(direct[i]), len(scratch[i]))
+		w.Start(mode)
+		if err := w.Checkpoint(small); err != nil {
+			t.Fatal(err)
+		}
+		body, _, err := w.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want wire.Encoder
+		ckpt.AppendBodyHeader(&want, mode, w.Epoch())
+		for _, p := range []*point{small, big} {
+			var payload wire.Encoder
+			p.Record(&payload)
+			rawRecV1(&want, p.info.ID(), typePoint, payload.Bytes())
+		}
+		if !bytes.Equal(body, want.Bytes()) {
+			t.Fatalf("body %d: zero-copy stream differs from independent framing (%d vs %d bytes)",
+				i, len(body), want.Len())
 		}
 	}
 }

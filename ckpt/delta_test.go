@@ -170,19 +170,41 @@ func TestDeltaWriterRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDeltaScratchMatchesZeroCopy: the scratch-copy and zero-copy encode
-// paths make the same delta decisions from the same bytes, so their bodies
-// are byte-identical.
-func TestDeltaScratchMatchesZeroCopy(t *testing.T) {
-	zc := runBlobTrace(t, ckpt.WithDeltaEncoding(64))
-	sc := runBlobTrace(t, ckpt.WithDeltaEncoding(64), ckpt.WithScratchEncode())
-	if len(zc.bodies) != len(sc.bodies) {
-		t.Fatalf("body counts differ: %d vs %d", len(zc.bodies), len(sc.bodies))
-	}
-	for i := range zc.bodies {
-		if !bytes.Equal(zc.bodies[i], sc.bodies[i]) {
-			t.Fatalf("body %d differs between zero-copy and scratch encode", i)
+// TestDeltaBodiesMatchIndependentFraming: the zero-copy delta path frames
+// version-2 records byte-identically to the same (id, kind, payload) triples
+// re-framed independently — full payloads over 128 bytes (the PatchUvarint
+// shift path) and small delta payloads alike, in Full and Incremental
+// bodies.
+func TestDeltaBodiesMatchIndependentFraming(t *testing.T) {
+	tr := runBlobTrace(t, ckpt.WithDeltaEncoding(64))
+	var bigFull, deltas int
+	for i, body := range tr.bodies {
+		var recs [][]byte
+		info, err := ckpt.InspectBodyKinds(body, func(id uint64, _ ckpt.TypeID, kind byte, payload []byte) error {
+			var e wire.Encoder
+			rawRec(&e, id, kind, payload)
+			recs = append(recs, e.Bytes())
+			if kind == wire.KindDelta {
+				deltas++
+			} else if len(payload) >= 128 {
+				bigFull++
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("body %d: %v", i, err)
 		}
+		want := rawBody(info.Mode, info.Epoch, func(e *wire.Encoder) {
+			for _, r := range recs {
+				e.Raw(r)
+			}
+		})
+		if !bytes.Equal(body, want) {
+			t.Fatalf("body %d: zero-copy stream differs from independent framing", i)
+		}
+	}
+	if bigFull == 0 || deltas == 0 {
+		t.Fatalf("trace framed %d full records >= 128 B and %d deltas; want both", bigFull, deltas)
 	}
 }
 
@@ -281,6 +303,14 @@ func rawRec(e *wire.Encoder, id uint64, kind byte, payload []byte) {
 	e.Uvarint(id)
 	e.Uvarint(uint64(typeBlob))
 	e.Byte(kind)
+	e.Uvarint(uint64(len(payload)))
+	e.Raw(payload)
+}
+
+// rawRecV1 frames one version-1 record: no kind byte.
+func rawRecV1(e *wire.Encoder, id uint64, t ckpt.TypeID, payload []byte) {
+	e.Uvarint(id)
+	e.Uvarint(uint64(t))
 	e.Uvarint(uint64(len(payload)))
 	e.Raw(payload)
 }

@@ -79,22 +79,16 @@ func AppendDeltaBodyHeader(dst *wire.Encoder, mode Mode, epoch uint64) {
 // the destination, reserves a one-byte length placeholder, and hands the
 // destination encoder straight to Record; End patches the placeholder
 // (wire.Encoder.PatchUvarint), shifting the payload only when it runs 128
-// bytes or longer. The older scratch path — encode the payload into a
-// per-emitter scratch buffer, then copy it behind a computed prefix — is
-// retained behind SetScratchEncode as the measurable baseline; both paths
-// produce byte-identical bodies.
+// bytes or longer.
 type Emitter struct {
-	dst     *wire.Encoder
-	scratch wire.Encoder
-	stats   Stats
-	clears  []ClearEntry
+	dst    *wire.Encoder
+	stats  Stats
+	clears []ClearEntry
 
-	curID       uint64
-	curInfo     *Info
-	curType     TypeID
-	lenPos      int
-	scratchMode bool
-	open        bool
+	curID   uint64
+	curInfo *Info
+	lenPos  int
+	open    bool
 
 	// Delta encoding state. When shadow is non-nil the emitter frames
 	// version-2 records (with a kind byte) and diffs each payload larger
@@ -113,14 +107,6 @@ type Emitter struct {
 	// flushes it into the cache's stats once per epoch.
 	shadowSkips int
 }
-
-// SetScratchEncode switches the emitter between the zero-copy encode path
-// (false, the default) and the scratch-copy baseline (true): payloads built
-// in a scratch buffer and copied behind a precomputed length prefix. The two
-// paths produce byte-identical bodies; the scratch path exists so the copy
-// tax stays measurable (cmd/ckptbench -experiment interp). Must not be
-// called between Begin and End.
-func (em *Emitter) SetScratchEncode(on bool) { em.scratchMode = on }
 
 // SetShadow attaches (or detaches, with nil) the shadow cache that switches
 // the emitter into delta-enabled version-2 framing. Must not be called
@@ -200,11 +186,6 @@ func (em *Emitter) Begin(info *Info, t TypeID) *wire.Encoder {
 	em.open = true
 	em.curID = info.ID()
 	em.curInfo = info
-	if em.scratchMode {
-		em.curType = t
-		em.scratch.Reset()
-		return &em.scratch
-	}
 	em.dst.Uvarint(info.ID())
 	em.dst.Uvarint(uint64(t))
 	if em.shadow != nil {
@@ -215,65 +196,30 @@ func (em *Emitter) Begin(info *Info, t TypeID) *wire.Encoder {
 	return em.dst
 }
 
-// End frames the payload started by Begin into the destination stream: on
-// the zero-copy path it patches the reserved length prefix in place; on the
-// scratch path it copies the scratch payload behind a computed prefix.
+// End frames the payload started by Begin by patching the reserved length
+// prefix in place.
 //
 // With a shadow cache attached, End is also where the delta decision runs:
 // the completed payload is diffed against the object's shadow, the delta
-// replaces the payload when it comes in under the size limit (on the
-// zero-copy path by truncating back to the reserved prefix and patching the
-// kind byte), and the payload is copied into the epoch's pending shadows so
-// the next epoch diffs against it once this one commits.
+// replaces the payload when it comes in under the size limit (by truncating
+// back to the reserved prefix and patching the kind byte), and the payload
+// is copied into the epoch's pending shadows so the next epoch diffs against
+// it once this one commits.
 func (em *Emitter) End() {
 	if em.shadow != nil {
-		em.endShadowed()
-		em.stats.Recorded++
-		em.open = false
-		return
-	}
-	if em.scratchMode {
-		em.dst.Uvarint(em.curID)
-		em.dst.Uvarint(uint64(em.curType))
-		em.dst.Uvarint(uint64(em.scratch.Len()))
-		em.dst.Raw(em.scratch.Bytes())
-	} else {
-		em.dst.PatchUvarint(em.lenPos)
-	}
-	em.stats.Recorded++
-	em.open = false
-}
-
-// endShadowed frames the record begun by Begin with a kind byte, shipping a
-// delta payload when the diff against the object's shadow wins. Both encode
-// paths make the same decision from the same bytes, so scratch and
-// zero-copy delta bodies stay byte-identical.
-func (em *Emitter) endShadowed() {
-	if em.scratchMode {
-		payload := em.scratch.Bytes()
-		kind := em.deltaOrFull(payload)
-		em.dst.Uvarint(em.curID)
-		em.dst.Uvarint(uint64(em.curType))
-		em.dst.Byte(kind)
-		if kind == wire.KindDelta {
-			em.dst.Uvarint(uint64(em.deltaBuf.Len()))
+		payload := em.dst.Bytes()[em.lenPos+1:]
+		if em.deltaOrFull(payload) == wire.KindDelta {
+			// The payload was staged into the shadow copy and the delta
+			// encoded into deltaBuf; rewind to the reserved length prefix
+			// and frame the delta in its place.
+			em.dst.Truncate(em.lenPos + 1)
 			em.dst.Raw(em.deltaBuf.Bytes())
-		} else {
-			em.dst.Uvarint(uint64(len(payload)))
-			em.dst.Raw(payload)
+			em.dst.PatchByte(em.kindPos, wire.KindDelta)
 		}
-		return
-	}
-	payload := em.dst.Bytes()[em.lenPos+1:]
-	if em.deltaOrFull(payload) == wire.KindDelta {
-		// The payload was staged into the shadow copy above and the delta
-		// encoded into deltaBuf; rewind to the reserved length prefix and
-		// frame the delta in its place.
-		em.dst.Truncate(em.lenPos + 1)
-		em.dst.Raw(em.deltaBuf.Bytes())
-		em.dst.PatchByte(em.kindPos, wire.KindDelta)
 	}
 	em.dst.PatchUvarint(em.lenPos)
+	em.stats.Recorded++
+	em.open = false
 }
 
 // deltaOrFull consults the shadow cache for the record's diff base, attempts

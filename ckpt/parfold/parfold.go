@@ -9,8 +9,8 @@
 // into per-worker wire.Encoder buffers via headerless shard writers
 // (ckpt.Writer.StartShard), and concatenates the per-root chunks in
 // canonical id order under a single body header. Because each root's subtree
-// encoding is independent of every other root's — the emitter frames records
-// from a per-object scratch buffer — the merged body reproduces, byte for
+// encoding is independent of every other root's — the emitter frames each
+// record from that object's payload alone — the merged body reproduces, byte for
 // byte, what a sequential fold over the id-sorted roots would have written.
 // Shard and worker counts influence scheduling only, never bytes.
 //

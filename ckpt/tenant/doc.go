@@ -45,5 +45,8 @@
 // (folds of other tenants proceed concurrently). Worker code never holds a
 // tenant lock across a Submit — backpressure can block while the
 // acknowledgements that would drain it need tenant locks — and never nests
-// the manager lock with a tenant lock, in either order.
+// the manager lock with a tenant lock, in either order. A separate per-tenant
+// fold lock, which acknowledgements never take, is held from a fold's epoch
+// increment through its Submit, so one tenant's epochs reach the log in
+// order even when two workers pop it back to back.
 package tenant

@@ -56,7 +56,7 @@ func WithSyncInterval(d time.Duration) Option {
 // WithLogQueueLimit bounds the shared AsyncWriter's body queue (see
 // stablelog.WithQueueLimit). Workers blocked submitting into a full log
 // queue are drained by the background writer; acknowledgements keep flowing
-// because no tenant lock is held across a submit.
+// because the tenant lock they take is never held across a submit.
 func WithLogQueueLimit(n int) Option {
 	return optionFunc(func(m *Manager) { m.logQueueLimit = n })
 }

@@ -46,67 +46,24 @@ func RecoveryRun(l *stablelog.Log, id uint32) ([]stablelog.SegmentInfo, error) {
 		run = append(run, seg)
 	}
 	if len(run) == 0 || run[0].Mode != ckpt.Full {
-		return nil, fmt.Errorf("tenant %d: %w", id, stablelog.ErrNoFull)
+		return nil, stablelog.ErrNoFull
 	}
 	return run, nil
 }
 
-// validateRun checks a filtered per-tenant run for coherence — anchored by
-// a Full, no second Full mid-run, sequence numbers and local epochs
-// strictly increasing. It is the per-tenant analogue of
-// stablelog.ValidateRun, minus the consecutive-sequence rule a shared log
-// cannot satisfy. Violations wrap stablelog.ErrIncoherent.
-func validateRun(id uint32, run []stablelog.SegmentInfo) error {
-	if len(run) == 0 {
-		return fmt.Errorf("%w: tenant %d: empty run", stablelog.ErrIncoherent, id)
-	}
-	if run[0].Mode != ckpt.Full {
-		return fmt.Errorf("%w: tenant %d: run starts with an incremental (seq %d)",
-			stablelog.ErrIncoherent, id, run[0].Seq)
-	}
-	for i := 1; i < len(run); i++ {
-		prev, cur := run[i-1], run[i]
-		if cur.Mode != ckpt.Incremental {
-			return fmt.Errorf("%w: tenant %d: full checkpoint mid-run (seq %d)",
-				stablelog.ErrIncoherent, id, cur.Seq)
-		}
-		if cur.Seq <= prev.Seq {
-			return fmt.Errorf("%w: tenant %d: seq not increasing (%d after %d)",
-				stablelog.ErrIncoherent, id, cur.Seq, prev.Seq)
-		}
-		_, pe := SplitEpoch(prev.Epoch)
-		_, ce := SplitEpoch(cur.Epoch)
-		if ce <= pe {
-			return fmt.Errorf("%w: tenant %d: local epoch not increasing at seq %d (%d after %d)",
-				stablelog.ErrIncoherent, id, cur.Seq, ce, pe)
-		}
-	}
-	return nil
-}
-
-// Recover replays one tenant's latest run out of a shared log into rb,
-// validating the filtered chain first and applying it atomically: on any
-// error — no full anchor, incoherent chain, read failure, corrupt body —
-// rb is unchanged. Other tenants' interleaved segments are untouched, so N
-// tenants recover independently from the same file.
+// Recover replays one tenant's latest run out of a shared log into rb
+// through stablelog's replay primitive, as a sparse run: the chain skips the
+// other tenants' interleaved segments, and every other run rule — Full
+// anchor, no second Full, increasing epochs, delta coherence — still holds.
+// The replay is atomic: on any error — no full anchor, incoherent chain,
+// read failure, corrupt body — rb is unchanged. Other tenants' segments are
+// untouched, so N tenants recover independently from the same file.
 func Recover(l *stablelog.Log, id uint32, rb *ckpt.Rebuilder) error {
-	run, err := RecoveryRun(l, id)
+	_, err := l.Replay(rb, true, func() ([]stablelog.SegmentInfo, error) {
+		return RecoveryRun(l, id)
+	})
 	if err != nil {
-		return err
-	}
-	if err := validateRun(id, run); err != nil {
-		return err
-	}
-	bodies := make([][]byte, len(run))
-	for i, seg := range run {
-		body, err := l.Read(seg.Seq)
-		if err != nil {
-			return fmt.Errorf("tenant %d: %w", id, err)
-		}
-		bodies[i] = body
-	}
-	if err := rb.ApplyRun(bodies); err != nil {
-		return fmt.Errorf("tenant %d: replay run at seq %d: %w", id, run[0].Seq, err)
+		return fmt.Errorf("tenant %d: %w", id, err)
 	}
 	return nil
 }

@@ -66,6 +66,12 @@ type Tenant struct {
 	id uint32
 	m  *Manager
 
+	// foldMu serializes the tenant's folds from the epoch increment through
+	// Submit, so its epochs reach the shared log in order even when two
+	// workers pop the tenant back to back. It is not mu: a full log queue
+	// blocks Submit until acknowledgements drain it, and acks take mu.
+	foldMu sync.Mutex
+
 	mu        sync.Mutex
 	domain    *ckpt.Domain
 	tracker   *ckpt.Tracker
@@ -235,6 +241,8 @@ func (t *Tenant) retryRequest() {
 // re-marking cleared flags and re-enqueueing the dirty set — and schedule a
 // retry.
 func (t *Tenant) runFold(wr *ckpt.Writer) {
+	t.foldMu.Lock()
+	defer t.foldMu.Unlock()
 	t.mu.Lock()
 	if t.tracker == nil {
 		t.mu.Unlock()
@@ -297,8 +305,9 @@ func (t *Tenant) runFold(wr *ckpt.Writer) {
 	}
 	t.mu.Unlock()
 
-	// Submit outside the tenant lock: a full log queue blocks here until
-	// acknowledgements drain it, and those acks need tenant locks.
+	// Submit outside the tenant lock (foldMu still orders it): a full log
+	// queue blocks here until acknowledgements drain it, and those acks
+	// need tenant locks.
 	if err := t.m.aw.Submit(mode, we, enc); err != nil {
 		// Submit fails only when the shared writer is closed or its error has
 		// gone sticky — the log is dead, so a retry fold would just fail the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -445,5 +446,56 @@ func TestRecoverNoFull(t *testing.T) {
 	}
 	if ids := tenant.TenantIDs(lg); len(ids) != 1 || ids[0] != 5 {
 		t.Fatalf("tenant ids = %v, want [5]", ids)
+	}
+}
+
+// TestConcurrentFoldsKeepTenantOrder: with several workers, a tenant can be
+// re-queued and popped by a second worker while its previous fold is still
+// submitting. Each tenant's epochs must still reach the shared log in order,
+// or its recovery chain is incoherent. Many tenants are hammered with
+// Update+TryRequest from their own goroutines, then every tenant must
+// recover to exactly its live state.
+func TestConcurrentFoldsKeepTenantOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	lg := newLog(t)
+	m := tenant.NewManager(lg, tenant.WithWorkers(4), tenant.WithLogQueueLimit(1))
+
+	const nTenants, rounds = 8, 200
+	loads := make([]*synth.Workload, nTenants)
+	for i := range loads {
+		loads[i] = initSynth(t, m.Tenant(uint32(i+1)), 4, int64(i))
+	}
+	var wg sync.WaitGroup
+	for i := range loads {
+		tn, w := m.Tenant(uint32(i+1)), loads[i]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				tn.Update(func() { w.MutateEvery(0.5) })
+				if _, err := tn.TryRequest(); err != nil {
+					t.Errorf("tenant %d: %v", tn.ID(), err)
+					return
+				}
+			}
+			// A final blocking request covers whatever the last rounds left
+			// dirty.
+			if err := tn.Request(); err != nil {
+				t.Errorf("tenant %d: %v", tn.ID(), err)
+			}
+		}()
+	}
+	wg.Wait()
+	if err := m.Flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	for i, w := range loads {
+		id := uint32(i + 1)
+		if got, want := recoveredDump(t, lg, id), liveDump(t, w); !bytes.Equal(got, want) {
+			t.Fatalf("tenant %d: recovered state differs from live state", id)
+		}
 	}
 }

@@ -89,16 +89,6 @@ func WithEncoder(enc *wire.Encoder) WriterOption {
 	return writerOptionFunc(func(w *Writer) { w.enc = enc })
 }
 
-// WithScratchEncode makes the writer's emitter encode each record payload
-// into a scratch buffer and copy it behind a computed length prefix — the
-// pre-zero-copy baseline — instead of writing payloads directly into the
-// body with a reserved/patched prefix. Bodies are byte-identical either way;
-// the option exists so benchmarks can measure the scratch-copy tax
-// (cmd/ckptbench -experiment interp).
-func WithScratchEncode() WriterOption {
-	return writerOptionFunc(func(w *Writer) { w.emitter.SetScratchEncode(true) })
-}
-
 // WithDeltaEncoding enables sub-object delta records: each payload larger
 // than minSize bytes is remembered in a shadow cache across epochs, and an
 // object whose payload changed a little is shipped as a copy/patch delta

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	ckptbench [-experiment all|table1|table2|fig7|fig8|fig9|fig10|fig11|ablations|parallel|dirtyset|rewind|interp|multitenant|delta]
+//	ckptbench [-experiment all|table1|table2|fig7|fig8|fig9|fig10|fig11|ablations|parallel|dirtyset|rewind|multitenant|delta]
 //	          [-n STRUCTURES] [-scale N] [-reps R] [-warmup W] [-seed S]
 //	          [-csv DIR] [-parallel WORKERS] [-shards N] [-rewind]
 //
@@ -21,12 +21,6 @@
 // with the binomial retention schedule, and measures RewindTo at several
 // distances from the head, writing BENCH_rewind.json.
 //
-// The interp experiment runs the hostile interpreter workload
-// (internal/interp) across a program-size x allocation-churn grid and
-// measures the zero-copy encode path (AsyncWriter.Reserve / Writer.SwapEncoder
-// / AsyncWriter.Submit) against the scratch-encoder baseline, for both the
-// O(dirty) and full checkpoint disciplines, writing BENCH_interp.json.
-//
 // The multitenant experiment measures the multi-tenant checkpoint service
 // (ckpt/tenant) across a tenant-count x churn-rate x worker-count grid:
 // N independent domains share one fold worker pool and one AsyncWriter log,
@@ -34,8 +28,8 @@
 // flushes. It writes BENCH_multitenant.json, recording GOMAXPROCS and the
 // physical core count the numbers were taken on.
 //
-// The delta experiment sweeps payload size x mutated byte fraction x encode
-// path (zero-copy vs scratch) and measures the sub-object delta encoding
+// The delta experiment sweeps payload size x mutated byte fraction and
+// measures the sub-object delta encoding
 // (ckpt.WithDeltaEncoding) — bytes/epoch and ns/checkpoint against a plain
 // writer on a twin population — writing BENCH_delta.json.
 //
@@ -145,16 +139,6 @@ func run(experiment string, opts harness.Options, scale int, workload, csvDir st
 			}
 			return tbl, nil
 		}},
-		"interp": {func() (*harness.Table, error) {
-			tbl, rep, err := harness.InterpSweep(opts)
-			if err != nil {
-				return nil, err
-			}
-			if err := writeJSON("BENCH_interp.json", rep); err != nil {
-				return nil, err
-			}
-			return tbl, nil
-		}},
 		"table1":         {func() (*harness.Table, error) { return harness.Table1For(aw, scale) }},
 		"table1-profile": {func() (*harness.Table, error) { return harness.Table1ProfileFor(aw, scale) }},
 		"table2":         {func() (*harness.Table, error) { return harness.Table2(opts) }},
@@ -171,7 +155,7 @@ func run(experiment string, opts harness.Options, scale int, workload, csvDir st
 			func() (*harness.Table, error) { return harness.AblationAsync(opts) },
 		},
 	}
-	order := []string{"table1", "table1-profile", "fig7", "fig8", "fig9", "fig10", "fig11", "table2", "ablations", "parallel", "dirtyset", "rewind", "interp", "multitenant", "delta"}
+	order := []string{"table1", "table1-profile", "fig7", "fig8", "fig9", "fig10", "fig11", "table2", "ablations", "parallel", "dirtyset", "rewind", "multitenant", "delta"}
 
 	var selected []experimentFn
 	if experiment == "all" {

@@ -261,41 +261,24 @@ func verifyLog(path string) error {
 		fmt.Println("verify: OK (empty log)")
 		return nil
 	}
-	run, err := log.RecoveryRun()
+	// Replay the recovery run exactly as Recover does: run coherence, every
+	// body's checksum, delta coherence (a patch needs an earlier payload for
+	// the same object in the run), and a clean apply.
+	rb := ckpt.NewRebuilder(ckpt.NewRegistry())
+	run, err := log.Replay(rb, false, log.RecoveryRun)
 	if err != nil {
-		return fmt.Errorf("no usable recovery run: %w", err)
+		return fmt.Errorf("recovery run does not replay: %w", err)
 	}
-	if err := stablelog.ValidateRun(run); err != nil {
-		return fmt.Errorf("incoherent recovery run: %w", err)
-	}
-	// Delta records add a cross-body dependency the segment framing cannot
-	// see: every patch needs an earlier payload for the same object in the
-	// same run. Reject a baseless delta here by name, rather than letting
-	// replay surface it as a generic recovery failure.
-	bodies := make([][]byte, len(run))
-	for i, seg := range run {
-		if bodies[i], err = log.Read(seg.Seq); err != nil {
-			return fmt.Errorf("segment %d: %w", seg.Seq, err)
-		}
-	}
-	if err := ckpt.CheckDeltaCoherence(bodies); err != nil {
-		return fmt.Errorf("baseless delta in recovery run: %w", err)
-	}
-	// The epoch index validates the whole retained chain (strictly
-	// increasing epochs, full-anchored runs), not just the latest run — an
-	// incoherent older chain would poison RewindTo even when Recover works.
+	// The epoch index validates the whole retained chain, not just the
+	// latest run — an incoherent older chain would poison RewindTo even
+	// when Recover works.
 	idx, err := log.EpochIndex()
 	if err != nil {
 		return fmt.Errorf("incoherent segment chain: %w", err)
 	}
-	if epochs := idx.Epochs(); len(epochs) > 0 {
-		fmt.Printf("  epoch catalog: %d rewindable epochs (%d..%d)\n",
-			len(epochs), epochs[0], epochs[len(epochs)-1])
-	}
-	rb := ckpt.NewRebuilder(ckpt.NewRegistry())
-	if err := log.Recover(rb); err != nil {
-		return fmt.Errorf("recovery run does not apply: %w", err)
-	}
+	epochs := idx.Epochs()
+	fmt.Printf("  epoch catalog: %d rewindable epochs (%d..%d)\n",
+		len(epochs), epochs[0], epochs[len(epochs)-1])
 	fmt.Printf("verify: OK — recovery run %d..%d (%d bodies) applies, %d live objects\n",
 		run[0].Seq, run[len(run)-1].Seq, len(run), rb.Objects())
 	return nil

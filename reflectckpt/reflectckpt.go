@@ -42,7 +42,9 @@ package reflectckpt
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
+	"sync/atomic"
 
 	"ickpt/ckpt"
 	"ickpt/wire"
@@ -88,23 +90,25 @@ type schema struct {
 	kids   []int // field indices of children, in order
 }
 
-// Engine caches per-type schemas.
-//
-// Engine is not safe for concurrent use.
+// Engine caches per-type schemas. It is safe for concurrent use: the cache
+// is an immutable map published through an atomic pointer, so lookups take
+// no lock, and a miss compiles the schema and publishes a copy of the map
+// with it added. Compiling is idempotent, so two goroutines racing on one
+// miss at worst compile the same schema twice.
 type Engine struct {
-	schemas map[reflect.Type]*schema
+	schemas atomic.Pointer[map[reflect.Type]*schema]
 }
 
 // NewEngine returns an empty engine; schemas are compiled on first use.
 func NewEngine() *Engine {
-	return &Engine{schemas: make(map[reflect.Type]*schema)}
+	en := &Engine{}
+	en.schemas.Store(&map[reflect.Type]*schema{})
+	return en
 }
 
 // ShardFold returns a fold closure for the parallel fold driver
-// (ckpt/parfold). Each call builds a fresh Engine, so every fold worker owns
-// its schema cache: Engine is not safe for concurrent use, and per-worker
-// instances are how reflection joins the sharded fold. The cache is retained
-// across folds by workers that keep the closure.
+// (ckpt/parfold). Each call builds a fresh Engine whose schema cache is
+// retained across folds by workers that keep the closure.
 func ShardFold() func(w *ckpt.Writer, root ckpt.Checkpointable) error {
 	return NewEngine().Checkpoint
 }
@@ -311,7 +315,7 @@ func (en *Engine) Restore(o ckpt.Checkpointable, d *wire.Decoder, res *ckpt.Reso
 
 // schemaFor compiles (and caches) the schema for t.
 func (en *Engine) schemaFor(t reflect.Type) (*schema, error) {
-	if sc, ok := en.schemas[t]; ok {
+	if sc, ok := (*en.schemas.Load())[t]; ok {
 		return sc, nil
 	}
 	sc := &schema{typ: t}
@@ -365,8 +369,14 @@ func (en *Engine) schemaFor(t reflect.Type) (*schema, error) {
 			return nil, fmt.Errorf("%w: field %s.%s has unknown tag %q", ErrSchema, t, f.Name, tag)
 		}
 	}
-	en.schemas[t] = sc
-	return sc, nil
+	for {
+		old := en.schemas.Load()
+		next := maps.Clone(*old)
+		next[t] = sc
+		if en.schemas.CompareAndSwap(old, &next) {
+			return sc, nil
+		}
+	}
 }
 
 // isCell reports whether t is an instantiation of ckpt.Cell.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ickpt/ckpt"
+	"ickpt/ckpt/tenant"
 	"ickpt/stablelog"
 	"ickpt/wire"
 )
@@ -129,14 +130,11 @@ func TestRecoverDeltaChain(t *testing.T) {
 // TestRecoverBaselessDeltaIncoherent anchors a delta-bearing incremental to
 // a full checkpoint that lacks the patched object. Framing, checksums and
 // the segment chain all hold, but the patch has no base — replay must fail
-// with ErrIncoherent up front rather than materialize from nothing.
+// with ErrIncoherent (wrapping ckpt.ErrDeltaBase) up front rather than
+// materialize from nothing, and leave the rebuilder as it was. The tenant
+// case hides the base in another tenant's interleaved segment of a shared
+// log: a filtered per-tenant run must not borrow it.
 func TestRecoverBaselessDeltaIncoherent(t *testing.T) {
-	path := tempLogPath(t)
-	l, err := stablelog.Create(path)
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-
 	blob := &dblob{info: ckpt.NewInfo(ckpt.NewDomain()), data: bytes.Repeat([]byte{0x5A}, 1024)}
 	wr := ckpt.NewWriter(ckpt.WithDeltaEncoding(0))
 	take := func(mode ckpt.Mode) ([]byte, uint64) {
@@ -151,7 +149,7 @@ func TestRecoverBaselessDeltaIncoherent(t *testing.T) {
 		}
 		return append([]byte(nil), body...), wr.Epoch()
 	}
-	take(ckpt.Full) // establishes the shadow base; never logged
+	full, _ := take(ckpt.Full) // establishes the shadow base
 	blob.data[100] ^= 0xFF
 	blob.info.Mark()
 	incr, incrEpoch := take(ckpt.Incremental)
@@ -162,30 +160,62 @@ func TestRecoverBaselessDeltaIncoherent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(ckpt.Full, incrEpoch-1, emptyBody); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Append(ckpt.Incremental, incrEpoch, incr); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	l, err = stablelog.Open(path)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
+	type seg struct {
+		mode  ckpt.Mode
+		epoch uint64
+		body  []byte
 	}
-	defer l.Close()
-	rb := ckpt.NewRebuilder(dblobRegistry())
-	err = l.Recover(rb)
-	if err == nil {
-		t.Fatal("Recover accepted a baseless delta chain")
+	cases := []struct {
+		name    string
+		segs    []seg
+		recover func(*stablelog.Log, *ckpt.Rebuilder) error
+	}{
+		{"log", []seg{
+			{ckpt.Full, incrEpoch - 1, emptyBody},
+			{ckpt.Incremental, incrEpoch, incr},
+		}, (*stablelog.Log).Recover},
+		{"tenant", []seg{
+			{ckpt.Full, tenant.WireEpoch(1, 1), emptyBody},
+			{ckpt.Full, tenant.WireEpoch(2, 1), full},
+			{ckpt.Incremental, tenant.WireEpoch(1, 2), incr},
+		}, func(l *stablelog.Log, rb *ckpt.Rebuilder) error { return tenant.Recover(l, 1, rb) }},
 	}
-	if !errors.Is(err, stablelog.ErrIncoherent) {
-		t.Errorf("Recover = %v, want ErrIncoherent", err)
-	}
-	if rb.Objects() != 0 {
-		t.Errorf("rebuilder holds %d objects after a rejected chain, want 0", rb.Objects())
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := tempLogPath(t)
+			l, err := stablelog.Create(path)
+			if err != nil {
+				t.Fatalf("Create: %v", err)
+			}
+			for _, s := range tc.segs {
+				if _, err := l.Append(s.mode, s.epoch, s.body); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			l, err = stablelog.Open(path)
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			defer l.Close()
+			rb := ckpt.NewRebuilder(dblobRegistry())
+			if err := rb.Apply(full); err != nil {
+				t.Fatal(err)
+			}
+			err = tc.recover(l, rb)
+			if err == nil {
+				t.Fatal("Recover accepted a baseless delta chain")
+			}
+			if !errors.Is(err, stablelog.ErrIncoherent) || !errors.Is(err, ckpt.ErrDeltaBase) {
+				t.Errorf("Recover = %v, want ErrIncoherent wrapping ErrDeltaBase", err)
+			}
+			if rb.Objects() != 1 {
+				t.Errorf("rebuilder holds %d objects after a rejected chain, want its prior 1", rb.Objects())
+			}
+		})
 	}
 }

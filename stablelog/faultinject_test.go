@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"ickpt/ckpt"
+	"ickpt/ckpt/tenant"
 	"ickpt/internal/faultfs"
 	"ickpt/stablelog"
 )
@@ -386,6 +387,9 @@ func assertWedgedOps(t *testing.T, l *stablelog.Log, m *faultfs.Mem) {
 	}
 	if _, err := l.RewindTo(rb, 2); !errors.Is(err, stablelog.ErrWedged) {
 		t.Errorf("RewindTo on wedged log = %v, want ErrWedged", err)
+	}
+	if err := tenant.Recover(l, 0, rb); !errors.Is(err, stablelog.ErrWedged) {
+		t.Errorf("tenant.Recover on wedged log = %v, want ErrWedged", err)
 	}
 	if err := l.Close(); !errors.Is(err, stablelog.ErrWedged) {
 		t.Errorf("Close on wedged log = %v, want ErrWedged", err)

@@ -264,24 +264,9 @@ type EpochIndex struct {
 	fullPos []int // positions of full checkpoints, ascending
 }
 
-// newEpochIndex validates that epochs are strictly increasing across the
-// segments (the invariant every search below leans on) and builds the
-// catalog.
-func newEpochIndex(segs []SegmentInfo) (*EpochIndex, error) {
-	x := &EpochIndex{segs: segs}
-	for i, seg := range segs {
-		if i > 0 && seg.Epoch <= segs[i-1].Epoch {
-			return nil, fmt.Errorf("%w: epoch not increasing at seq %d (%d after %d)",
-				ErrIncoherent, seg.Seq, seg.Epoch, segs[i-1].Epoch)
-		}
-		if seg.Mode == ckpt.Full {
-			x.fullPos = append(x.fullPos, i)
-		}
-	}
-	return x, nil
-}
-
-// extend appends newly scanned segments to the catalog.
+// extend appends newly scanned segments to the catalog, checking that
+// epochs stay strictly increasing — the invariant every search below leans
+// on.
 func (x *EpochIndex) extend(segs []SegmentInfo) error {
 	for _, seg := range segs {
 		if n := len(x.segs); n > 0 && seg.Epoch <= x.segs[n-1].Epoch {
@@ -303,20 +288,15 @@ func (l *Log) EpochIndex() (*EpochIndex, error) {
 	if err := l.usable(); err != nil {
 		return nil, err
 	}
-	switch {
-	case l.idx != nil && l.idxLen == len(l.segs):
-	case l.idx != nil && l.idxLen < len(l.segs):
+	if l.idx == nil {
+		l.idx, l.idxLen = &EpochIndex{}, 0
+	}
+	if l.idxLen < len(l.segs) {
 		if err := l.idx.extend(l.segs[l.idxLen:]); err != nil {
 			l.idx, l.idxLen = nil, 0
 			return nil, err
 		}
 		l.idxLen = len(l.segs)
-	default:
-		idx, err := newEpochIndex(l.Segments())
-		if err != nil {
-			return nil, err
-		}
-		l.idx, l.idxLen = idx, len(l.segs)
 	}
 	return l.idx, nil
 }
@@ -411,30 +391,24 @@ type RewindStats struct {
 // full checkpoint at or before epoch, plus the incremental suffix through
 // epoch) via the epoch catalog, validates it, and replays it.
 //
-// The replay is atomic on rb: validation runs first, every payload is read
-// (and CRC-checked) before anything is applied, and the bodies go through
-// ckpt.Rebuilder.ApplyRun — so an unavailable epoch, a read fault, or a
-// corrupt body leaves rb exactly as it was. rb need not be fresh: a chain
-// starts with a full checkpoint, which resets the rebuilder, so one
-// rebuilder can rewind forward and backward repeatedly.
+// The replay goes through Replay, so it is atomic on rb: an unavailable
+// epoch, a read fault, or a corrupt body leaves rb exactly as it was. rb
+// need not be fresh: a chain starts with a full checkpoint, which resets the
+// rebuilder, so one rebuilder can rewind forward and backward repeatedly.
 //
 // A target epoch that was aged out by retention — or aborted and never
 // committed — fails with an *EpochUnavailableError carrying the nearest
 // retained epochs (see ErrEpochUnavailable).
 func (l *Log) RewindTo(rb *ckpt.Rebuilder, epoch uint64) (RewindStats, error) {
 	var st RewindStats
-	if err := l.usable(); err != nil {
-		return st, err
-	}
-	idx, err := l.EpochIndex()
+	chain, err := l.Replay(rb, false, func() ([]SegmentInfo, error) {
+		idx, err := l.EpochIndex()
+		if err != nil {
+			return nil, err
+		}
+		return idx.Chain(epoch)
+	})
 	if err != nil {
-		return st, err
-	}
-	chain, err := idx.Chain(epoch)
-	if err != nil {
-		return st, err
-	}
-	if err := l.replayRun(rb, chain); err != nil {
 		return st, err
 	}
 	st.Segments = len(chain)

@@ -389,7 +389,12 @@ func (l *Log) RecoveryRun() ([]SegmentInfo, error) {
 // payloads, but nothing in the framing ties segments to each other — a
 // hand-edited (or collision-corrupted) history could otherwise replay
 // silently into nonsense. Violations return an error wrapping ErrIncoherent.
-func ValidateRun(run []SegmentInfo) error {
+func ValidateRun(run []SegmentInfo) error { return checkRun(run, false) }
+
+// checkRun holds the run rules. A sparse run — one filtered out of a shared
+// log, like a single tenant's chain — is exempt from the consecutive-sequence
+// rule only: its sequence numbers must still increase.
+func checkRun(run []SegmentInfo, sparse bool) error {
 	if len(run) == 0 {
 		return fmt.Errorf("%w: empty run", ErrIncoherent)
 	}
@@ -401,7 +406,7 @@ func ValidateRun(run []SegmentInfo) error {
 		if cur.Mode != ckpt.Incremental {
 			return fmt.Errorf("%w: full checkpoint mid-run (seq %d)", ErrIncoherent, cur.Seq)
 		}
-		if cur.Seq != prev.Seq+1 {
+		if cur.Seq <= prev.Seq || (!sparse && cur.Seq != prev.Seq+1) {
 			return fmt.Errorf("%w: seq jumps %d -> %d", ErrIncoherent, prev.Seq, cur.Seq)
 		}
 		if cur.Epoch <= prev.Epoch {
@@ -412,45 +417,47 @@ func ValidateRun(run []SegmentInfo) error {
 	return nil
 }
 
-// Recover applies the recovery run to rb, reading each segment's payload.
-// The run is validated first (see ValidateRun) and applied atomically: on any
-// error — incoherent chain, read failure, corrupt body — rb is unchanged.
+// Recover applies the recovery run to rb through Replay: on any error —
+// incoherent chain, read failure, corrupt body — rb is unchanged.
 func (l *Log) Recover(rb *ckpt.Rebuilder) error {
-	if err := l.usable(); err != nil {
-		return err
-	}
-	run, err := l.RecoveryRun()
-	if err != nil {
-		return err
-	}
-	return l.replayRun(rb, run)
+	_, err := l.Replay(rb, false, l.RecoveryRun)
+	return err
 }
 
-// replayRun validates run, reads every payload, and applies them to rb as
-// one atomic unit.
-func (l *Log) replayRun(rb *ckpt.Rebuilder, run []SegmentInfo) error {
-	if err := ValidateRun(run); err != nil {
-		return err
+// Replay is the one replay primitive: Recover, RewindTo, tenant.Recover and
+// ckptinspect -verify all go through it. It selects the run with sel,
+// validates it (see ValidateRun; sparse exempts a run filtered out of a
+// shared log from the consecutive-sequence rule), reads and CRC-checks every
+// body, checks delta coherence, and applies the bodies to rb as one atomic
+// unit: on any error rb is unchanged. It returns the replayed run.
+func (l *Log) Replay(rb *ckpt.Rebuilder, sparse bool, sel func() ([]SegmentInfo, error)) ([]SegmentInfo, error) {
+	if err := l.usable(); err != nil {
+		return nil, err
+	}
+	run, err := sel()
+	if err != nil {
+		return nil, err
+	}
+	if err := checkRun(run, sparse); err != nil {
+		return nil, err
 	}
 	bodies := make([][]byte, len(run))
 	for i, seg := range run {
-		body, err := l.Read(seg.Seq)
-		if err != nil {
-			return err
+		if bodies[i], err = l.Read(seg.Seq); err != nil {
+			return nil, err
 		}
-		bodies[i] = body
 	}
 	// Delta-bearing bodies add a cross-body dependency segment framing knows
 	// nothing about: every delta record needs an earlier payload in the same
 	// chain. Check it up front so a mis-anchored chain fails as incoherent
 	// here rather than partway through materialization.
 	if err := ckpt.CheckDeltaCoherence(bodies); err != nil {
-		return fmt.Errorf("%w: replay run at seq %d: %v", ErrIncoherent, run[0].Seq, err)
+		return nil, fmt.Errorf("%w: replay run at seq %d: %w", ErrIncoherent, run[0].Seq, err)
 	}
 	if err := rb.ApplyRun(bodies); err != nil {
-		return fmt.Errorf("replay run at seq %d: %w", run[0].Seq, err)
+		return nil, fmt.Errorf("replay run at seq %d: %w", run[0].Seq, err)
 	}
-	return nil
+	return run, nil
 }
 
 // Compact rewrites the log to contain only the latest recovery run,
