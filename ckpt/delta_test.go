@@ -82,6 +82,11 @@ func runBlobTrace(t *testing.T, opts ...ckpt.WriterOption) blobTrace {
 			t.Fatalf("Finish: %v", err)
 		}
 		tr.bodies = append(tr.bodies, append([]byte(nil), body...))
+		if c := w.Shadow(); c != nil {
+			if err := ckpt.CheckShadowFingerprints(c); err != nil {
+				t.Fatalf("epoch %d: %v", len(tr.bodies), err)
+			}
+		}
 	}
 	take(ckpt.Full)
 	for e := 0; e < 5; e++ {
@@ -102,6 +107,9 @@ func rebuildBlobs(t *testing.T, bodies [][]byte) map[uint64]ckpt.Restorable {
 	for i, body := range bodies {
 		if err := rb.Apply(body); err != nil {
 			t.Fatalf("Apply body %d: %v", i, err)
+		}
+		if err := ckpt.CheckRebuilderFingerprints(rb); err != nil {
+			t.Fatalf("after body %d: %v", i, err)
 		}
 	}
 	objs, err := rb.Build(nil)
@@ -127,7 +135,7 @@ func checkBlobs(t *testing.T, objs map[uint64]ckpt.Restorable, want map[uint64][
 	}
 }
 
-// TestDeltaWriterRoundTrip: a delta-encoding writer produces version-2 bodies
+// TestDeltaWriterRoundTrip: a delta-encoding writer produces version-3 bodies
 // that carry deltas for lightly-mutated payloads, shrink the incremental
 // stream, and rebuild to exactly the state a plain writer's stream rebuilds
 // to.
@@ -142,8 +150,8 @@ func TestDeltaWriterRoundTrip(t *testing.T) {
 			t.Fatalf("InspectBodyKinds body %d: %v", i, err)
 		}
 		if i == 0 {
-			if info.Version != 2 || info.Deltas != 0 {
-				t.Fatalf("full body: version=%d deltas=%d, want 2/0", info.Version, info.Deltas)
+			if info.Version != 3 || info.Deltas != 0 {
+				t.Fatalf("full body: version=%d deltas=%d, want 3/0", info.Version, info.Deltas)
 			}
 			continue
 		}
@@ -171,7 +179,7 @@ func TestDeltaWriterRoundTrip(t *testing.T) {
 }
 
 // TestDeltaBodiesMatchIndependentFraming: the zero-copy delta path frames
-// version-2 records byte-identically to the same (id, kind, payload) triples
+// version-3 records byte-identically to the same (id, kind, payload) triples
 // re-framed independently — full payloads over 128 bytes (the PatchUvarint
 // shift path) and small delta payloads alike, in Full and Incremental
 // bodies.
@@ -250,6 +258,9 @@ func TestDeltaAbortKeepsCommittedBase(t *testing.T) {
 	if deltas(body2) != 1 {
 		t.Fatal("epoch 2 did not delta against the committed full payload")
 	}
+	if err := ckpt.CheckShadowFingerprints(cache); err != nil {
+		t.Fatal(err)
+	}
 	committed := cache.CommittedBase(b.info.ID())
 	if committed == nil {
 		t.Fatal("no committed base after epoch 2")
@@ -283,6 +294,9 @@ func TestDeltaAbortKeepsCommittedBase(t *testing.T) {
 	if deltas(body5) != 1 {
 		t.Fatal("epoch 5 did not resume delta encoding")
 	}
+	if err := ckpt.CheckShadowFingerprints(cache); err != nil {
+		t.Fatal(err)
+	}
 
 	objs := rebuildBlobs(t, [][]byte{body1, body2, body4, body5})
 	got := objs[b.info.ID()].(*blob)
@@ -298,7 +312,7 @@ func committedAfter(b *blob) []byte {
 	return e.Bytes()
 }
 
-// rawRec frames one version-2 record.
+// rawRec frames one version-3 record.
 func rawRec(e *wire.Encoder, id uint64, kind byte, payload []byte) {
 	e.Uvarint(id)
 	e.Uvarint(uint64(typeBlob))
@@ -392,6 +406,106 @@ func TestRebuilderDeltaBase(t *testing.T) {
 			t.Fatalf("Apply: %v", err)
 		}
 	})
+}
+
+// TestRebuilderDeltaTamperedLiteral: the fingerprint a delta's result
+// carries forward is the hash of the bytes actually materialized, so a
+// literal altered in transit — in a body re-framed so its segment checksum
+// still holds — is caught by the next delta on the object, which was
+// encoded against the untampered result. Both the cross-body and the
+// same-body (two deltas in one body) carries are covered; the payload is
+// large enough for its few literal runs to be carried, not rehashed.
+func TestRebuilderDeltaTamperedLiteral(t *testing.T) {
+	reg := blobRegistry(t)
+	data := make([]byte, 16<<10)
+	rand.New(rand.NewSource(6)).Read(data)
+	chain := [][]byte{data}
+	for k := 1; k <= 3; k++ {
+		next := append([]byte(nil), chain[k-1]...)
+		for j := 0; j < 4; j++ {
+			next[1000*k+j*3000] ^= byte(0x11 * k)
+		}
+		chain = append(chain, next)
+	}
+	pays := make([][]byte, len(chain))
+	for k, c := range chain {
+		var e wire.Encoder
+		e.BytesField(c)
+		pays[k] = append([]byte(nil), e.Bytes()...)
+	}
+	deltas := make([][]byte, 3)
+	for k := range deltas {
+		var e wire.Encoder
+		if !wire.AppendDelta(&e, pays[k], pays[k+1], len(pays[k+1])) {
+			t.Fatal("delta encode")
+		}
+		deltas[k] = append([]byte(nil), e.Bytes()...)
+	}
+	// tamper flips the first literal byte of delta k, leaving its framing
+	// intact: past the header and the leading copy run and literal length.
+	tamper := func(k int) []byte {
+		d := wire.NewDecoder(deltas[k])
+		d.Uvarint()
+		d.Uint32()
+		d.Uvarint()
+		d.Uvarint()
+		out := append([]byte(nil), deltas[k]...)
+		out[len(out)-d.Len()] ^= 0x80
+		return out
+	}
+	full := rawBody(ckpt.Full, 1, func(e *wire.Encoder) { rawRec(e, 1, wire.KindFull, pays[0]) })
+	inc := func(epoch uint64, ds ...[]byte) []byte {
+		return rawBody(ckpt.Incremental, epoch, func(e *wire.Encoder) {
+			for _, d := range ds {
+				rawRec(e, 1, wire.KindDelta, d)
+			}
+		})
+	}
+
+	t.Run("untampered", func(t *testing.T) {
+		objs := rebuildBlobs(t, [][]byte{full, inc(2, deltas[0]), inc(3, deltas[1], deltas[2])})
+		if got := objs[1].(*blob); !bytes.Equal(got.data, chain[3]) {
+			t.Fatal("untampered chain rebuilt wrong bytes")
+		}
+	})
+	t.Run("next-body", func(t *testing.T) {
+		rb := ckpt.NewRebuilder(reg)
+		for _, b := range [][]byte{full, inc(2, deltas[0]), inc(3, tamper(1))} {
+			if err := rb.Apply(b); err != nil {
+				t.Fatalf("tampered delta itself must apply (its base is intact): %v", err)
+			}
+		}
+		if err := ckpt.CheckRebuilderFingerprints(rb); err != nil {
+			t.Fatal(err)
+		}
+		if _, carried := ckpt.Fingerprint(rb, 1); !carried {
+			t.Fatal("tampered delta's result fingerprint was not carried")
+		}
+		if err := rb.Apply(inc(4, deltas[2])); !errors.Is(err, ckpt.ErrDeltaBase) {
+			t.Fatalf("delta after a tampered literal: Apply = %v, want ErrDeltaBase", err)
+		}
+	})
+	t.Run("same-body", func(t *testing.T) {
+		rb := ckpt.NewRebuilder(reg)
+		for _, b := range [][]byte{full, inc(2, deltas[0])} {
+			if err := rb.Apply(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := rb.Apply(inc(3, tamper(1), deltas[2])); !errors.Is(err, ckpt.ErrDeltaBase) {
+			t.Fatalf("second delta after a tampered first: Apply = %v, want ErrDeltaBase", err)
+		}
+	})
+}
+
+// TestRebuilderDeltaRejectsVersion2: bodies framed under the FNV base
+// fingerprint (body version 2) fail as malformed, not as a base mismatch.
+func TestRebuilderDeltaRejectsVersion2(t *testing.T) {
+	body := rawBody(ckpt.Full, 1, func(e *wire.Encoder) { rawRec(e, 1, wire.KindFull, []byte{0}) })
+	body[0] = 2
+	if err := ckpt.NewRebuilder(blobRegistry(t)).Apply(body); !errors.Is(err, ckpt.ErrBadBody) {
+		t.Fatalf("version-2 body: Apply = %v, want ErrBadBody", err)
+	}
 }
 
 // TestCheckDeltaCoherence mirrors the Apply-level rules at the run level,

@@ -9,7 +9,7 @@ import "ickpt/wire"
 //
 // The payload of a record is exactly what the object's Record method wrote.
 //
-// Version 2 — written only by delta-enabled emitters (WithDeltaEncoding /
+// Version 3 — written only by delta-enabled emitters (WithDeltaEncoding /
 // WithShadowCache) — inserts a kind byte between the type and the length:
 //
 //	records: (id uvarint, typeID uvarint, kind byte, payloadLen uvarint, payload)*
@@ -18,9 +18,14 @@ import "ickpt/wire"
 // wire.KindDelta payloads are a copy/patch opcode stream (wire.AppendDelta)
 // against the object's previous payload in the stream. Writers without a
 // shadow cache keep producing version 1, byte-identical to before.
+//
+// Version 2 was the same framing with deltas fingerprinting their base by
+// an FNV-style hash; version 3 deltas carry a CRC-32C (see wire/delta.go).
+// Readers reject version 2 as ErrBadBody: reading its deltas as version 3
+// would misreport every one as a base mismatch.
 const (
-	bodyVersion  = 1
-	bodyVersion2 = 2
+	bodyVersion      = 1
+	bodyVersionDelta = 3
 )
 
 // Stats accumulates counters for one checkpoint.
@@ -60,12 +65,12 @@ func AppendBodyHeader(dst *wire.Encoder, mode Mode, epoch uint64) {
 	dst.Uvarint(epoch)
 }
 
-// AppendDeltaBodyHeader writes the version-2 body header that frames
+// AppendDeltaBodyHeader writes the version-3 body header that frames
 // kind-carrying records. Delta-enabled emitters use it in Reset, and the
 // parfold merge uses it when its workers' shard writers carry a shadow
 // cache.
 func AppendDeltaBodyHeader(dst *wire.Encoder, mode Mode, epoch uint64) {
-	dst.Byte(bodyVersion2)
+	dst.Byte(bodyVersionDelta)
 	dst.Byte(byte(mode))
 	dst.Uvarint(epoch)
 }
@@ -91,7 +96,7 @@ type Emitter struct {
 	open    bool
 
 	// Delta encoding state. When shadow is non-nil the emitter frames
-	// version-2 records (with a kind byte) and diffs each payload larger
+	// version-3 records (with a kind byte) and diffs each payload larger
 	// than the cache's threshold against the object's shadow, shipping the
 	// delta when it wins (see ShadowCache). mode gates the diff: Full
 	// bodies never carry deltas. shadowPends accumulates the epoch's
@@ -109,7 +114,7 @@ type Emitter struct {
 }
 
 // SetShadow attaches (or detaches, with nil) the shadow cache that switches
-// the emitter into delta-enabled version-2 framing. Must not be called
+// the emitter into delta-enabled version-3 framing. Must not be called
 // between Begin and End; Writer options (WithDeltaEncoding, WithShadowCache)
 // are the usual entry point.
 func (em *Emitter) SetShadow(c *ShadowCache) { em.shadow = c }
@@ -247,9 +252,10 @@ func (em *Emitter) deltaOrFull(payload []byte) byte {
 	}
 	base, hash, stage, window := em.shadow.decide(em.curID, len(payload), em.mode)
 	kind := wire.KindFull
+	var next uint32 // the payload's fingerprint, carried by a winning delta
 	if base != nil {
 		em.deltaBuf.Reset()
-		win := wire.AppendDeltaHashed(&em.deltaBuf, base, hash, payload,
+		h, win := wire.AppendDeltaHashed(&em.deltaBuf, base, hash, payload,
 			len(payload)*deltaLimitNum/deltaLimitDen)
 		if w := em.shadow.report(em.curID, win); w > 0 {
 			// The loss armed the churn backoff: the coming emits skip the
@@ -261,13 +267,17 @@ func (em *Emitter) deltaOrFull(payload []byte) byte {
 		if win {
 			kind = wire.KindDelta
 			em.stats.Deltas++
+			next = h
 		}
 	}
 	if window > 0 {
 		em.curInfo.shadowSkip = uint16(window)
 	}
 	if stage {
-		em.shadowPends = append(em.shadowPends, em.shadow.copyPayload(em.curID, payload))
+		if kind == wire.KindFull {
+			next = wire.DeltaBaseHash(payload)
+		}
+		em.shadowPends = append(em.shadowPends, em.shadow.copyPayload(em.curID, payload, next))
 	}
 	return kind
 }
@@ -356,7 +366,7 @@ func parseBodyHeader(d *wire.Decoder) (bodyHeader, error) {
 	if err := d.Err(); err != nil {
 		return h, err
 	}
-	if h.version != bodyVersion && h.version != bodyVersion2 {
+	if h.version != bodyVersion && h.version != bodyVersionDelta {
 		return h, ErrBadBody
 	}
 	if h.mode != Full && h.mode != Incremental {
@@ -365,7 +375,7 @@ func parseBodyHeader(d *wire.Decoder) (bodyHeader, error) {
 	return h, nil
 }
 
-// nextRecord reads one framed record; hasKind selects the version-2 framing
+// nextRecord reads one framed record; hasKind selects the version-3 framing
 // with a kind byte between type and length. It returns ok=false at a clean
 // end of body.
 func nextRecord(d *wire.Decoder, hasKind bool) (rec record, ok bool, err error) {

@@ -45,16 +45,38 @@ func FuzzInspectBody(f *testing.F) {
 
 // FuzzRebuilderApply applies a known-good full base body and then an
 // arbitrary body: Apply must either reject the body (leaving state intact,
-// so Build still succeeds) or accept it with Build never panicking.
+// so Build still succeeds) or accept it with Build never panicking. Bodies
+// in the delta format start from the corpus's first delta-format full body,
+// so mutated deltas meet the bases they were encoded against. Either way,
+// every fingerprint the rebuilder carries must equal a fresh hash of its
+// payload.
 func FuzzRebuilderApply(f *testing.F) {
 	bodies := seedCorpus(f)
 	base := bodies[0] // base full checkpoint of the first synth trace
+	var deltaBase []byte
+	for _, b := range bodies {
+		if info, err := ckpt.InspectBody(b, nil); err == nil && info.Version == 3 && info.Mode == ckpt.Full {
+			deltaBase = b
+			break
+		}
+	}
+	if deltaBase == nil {
+		f.Fatal("seed corpus has no delta-format full body")
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rb := ckpt.NewRebuilder(synth.Registry())
-		if err := rb.Apply(base); err != nil {
+		start := base
+		if len(body) > 0 && body[0] == 3 {
+			start = deltaBase
+		}
+		if err := rb.Apply(start); err != nil {
 			t.Fatalf("base body rejected: %v", err)
 		}
-		if err := rb.Apply(body); err != nil {
+		err := rb.Apply(body)
+		if ferr := ckpt.CheckRebuilderFingerprints(rb); ferr != nil {
+			t.Fatalf("Apply (err %v) left a drifted fingerprint: %v", err, ferr)
+		}
+		if err != nil {
 			// Apply is documented atomic: the base state must survive.
 			if _, err := rb.Build(ckpt.NewDomain()); err != nil {
 				t.Fatalf("failed Apply corrupted rebuilder state: %v", err)

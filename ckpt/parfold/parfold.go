@@ -641,7 +641,7 @@ func (f *Folder) foldShards(mode ckpt.Mode, epoch uint64, nw, ns, nitems int, sh
 	out.Reset()
 	if f.shadow != nil {
 		// Shard writers framed records with kind bytes, so the merged body
-		// must carry the version-2 header — byte-identical to a sequential
+		// must carry the version-3 header — byte-identical to a sequential
 		// delta-encoding fold.
 		ckpt.AppendDeltaBodyHeader(out, mode, epoch)
 	} else {

@@ -9,24 +9,49 @@ import (
 )
 
 // latestRec is the most recent payload known for one object id. owned marks
-// a rebuilder-owned buffer (version-2 records are materialized into owned
+// a rebuilder-owned buffer (delta-body records are materialized into owned
 // storage rather than aliasing the body), which a later same-size record may
 // reuse in place instead of allocating.
+//
+// hash is the payload's wire.DeltaBaseHash when hashed is set. A delta's
+// result carries its fingerprint forward from its base's
+// (wire.DeltaResultHash); a full record — or the result of a delta too
+// scattered to carry — is fingerprinted lazily, the first time a delta
+// needs it as a base, so records no delta ever references — every
+// version-1 body, and sub-floor records in delta bodies — never pay for a
+// hash.
 type latestRec struct {
 	typeID  TypeID
 	payload []byte
 	owned   bool
+	hashed  bool
+	hash    uint32
 }
 
 // stagedRec is one record staged during Apply's validation pass. payload
 // aliases the body (the delta bytes, for kind wire.KindDelta) unless mat is
-// set; base is the resolved diff base a delta was validated against.
+// set; base is the resolved diff base a delta was validated against, and
+// hash the fingerprint of the delta's result. superseded marks a record a
+// later record for the same id in the same body replaces.
 type stagedRec struct {
-	typeID  TypeID
-	kind    byte
-	payload []byte
-	base    []byte
-	mat     bool // payload is an already-materialized owned buffer
+	id         uint64
+	typeID     TypeID
+	kind       byte
+	payload    []byte
+	base       []byte
+	mat        bool // payload is an already-materialized owned buffer
+	hashed     bool
+	hash       uint32
+	superseded bool
+}
+
+// fingerprint returns the payload's wire.DeltaBaseHash, computing it unless
+// it is already known.
+func (st *stagedRec) fingerprint() uint32 {
+	if !st.hashed {
+		st.hash, st.hashed = wire.DeltaBaseHash(st.payload), true
+	}
+	return st.hash
 }
 
 // Rebuilder reconstructs object state from a sequence of checkpoint bodies:
@@ -43,10 +68,14 @@ type Rebuilder struct {
 	maxID  uint64
 	seen   int // bodies applied
 
-	// staged is Apply's validation-pass scratch, retained across calls so
-	// the steady-state re-apply loop (a replica following a stream) stays
-	// allocation-free.
-	staged map[uint64]stagedRec
+	// staged and index are Apply's validation-pass scratch: the body's
+	// records in order, and each id's newest position among them. Both
+	// are retained across calls so the steady-state re-apply loop (a
+	// replica following a stream) stays allocation-free, and both cost
+	// per body in proportion to the records it holds, however large an
+	// earlier body grew them.
+	staged []stagedRec
+	index  stageIndex
 }
 
 // NewRebuilder returns a Rebuilder resolving types through reg.
@@ -59,7 +88,7 @@ func NewRebuilder(reg *Registry) *Rebuilder {
 
 // Apply folds one checkpoint body into the rebuilder. A version-1 body is
 // retained (not copied) — its record payloads are aliased and it must not be
-// mutated afterwards. Version-2 (delta-enabled) bodies are not retained:
+// mutated afterwards. Delta-enabled bodies (version 3) are not retained:
 // every record, full or delta, is materialized into rebuilder-owned storage,
 // reusing the object's previous buffer when the new payload fits.
 //
@@ -67,8 +96,8 @@ func NewRebuilder(reg *Registry) *Rebuilder {
 // dead and must not resurface from older incrementals. The first body
 // applied must be Full. A delta record must follow an earlier payload for
 // the same object — in this body or a previous one — or Apply fails with
-// ErrDeltaBase; a delta whose base hash disagrees with that payload fails
-// the same way rather than materializing corrupt state.
+// ErrDeltaBase; a delta whose base hash disagrees with the fingerprint of
+// that payload fails the same way rather than materializing corrupt state.
 //
 // Apply is atomic: a body that fails to parse or validate leaves the
 // rebuilder exactly as it was, so recovery can skip a corrupt body (or a
@@ -82,17 +111,13 @@ func (rb *Rebuilder) Apply(body []byte) error {
 	if rb.seen == 0 && h.mode != Full {
 		return fmt.Errorf("%w: first body must be a full checkpoint", ErrBadBody)
 	}
-	hasKind := h.version == bodyVersion2
+	hasKind := h.version == bodyVersionDelta
 	// Decode and validate every record before touching any state. Deltas
 	// are fully validated here — structure, base length, base hash — so the
 	// commit loop below cannot fail, which is what makes its in-place
 	// materialization safe.
-	if rb.staged == nil {
-		rb.staged = make(map[uint64]stagedRec)
-	}
-	staged := rb.staged
-	clear(staged)
-	defer clear(staged) // drop body aliases either way
+	rb.index.next()
+	defer rb.dropStaged() // drop body aliases either way
 	for {
 		rec, ok, err := nextRecord(d, hasKind)
 		if err != nil {
@@ -104,52 +129,67 @@ func (rb *Rebuilder) Apply(body []byte) error {
 		if rec.id == NilID {
 			return fmt.Errorf("%w: record with nil id", ErrBadBody)
 		}
-		prev, found := staged[rec.id]
-		prevType, haveType := prev.typeID, found
-		if !found && h.mode != Full {
+		var prev *stagedRec
+		if at := rb.index.find(rec.id); at >= 0 {
+			prev = &rb.staged[at]
+		}
+		var cur latestRec
+		haveCur := false
+		if prev == nil && h.mode != Full {
 			// A full body resets the state, so conflicts against the old
 			// generation do not apply.
-			if cur, ok := rb.latest[rec.id]; ok {
-				prevType, haveType = cur.typeID, true
-			}
+			cur, haveCur = rb.latest[rec.id]
 		}
-		if haveType && prevType != rec.typeID {
+		if prev != nil && prev.typeID != rec.typeID || haveCur && cur.typeID != rec.typeID {
+			prevType := cur.typeID
+			if prev != nil {
+				prevType = prev.typeID
+			}
 			return fmt.Errorf("%w: object %d recorded as %q then %q",
 				ErrTypeConflict, rec.id, rb.reg.Name(prevType), rb.reg.Name(rec.typeID))
 		}
-		st := stagedRec{typeID: rec.typeID, kind: rec.kind, payload: rec.payload}
+		st := stagedRec{id: rec.id, typeID: rec.typeID, kind: rec.kind, payload: rec.payload}
 		if rec.kind == wire.KindDelta {
 			if h.mode == Full {
 				return fmt.Errorf("%w: object %d: delta record in a full checkpoint", ErrDeltaBase, rec.id)
 			}
 			var base []byte
+			var baseHash uint32
 			switch {
-			case found:
+			case prev != nil:
 				if prev.kind == wire.KindDelta && !prev.mat {
 					// Two deltas for one object in one body: materialize
-					// the first so the second has bytes to validate
-					// against.
+					// the first so the second has bytes to apply to; its
+					// carried fingerprint comes along.
 					buf := make([]byte, len(prev.base))
 					wire.ApplyValidatedDelta(buf, prev.base, prev.payload)
-					prev = stagedRec{typeID: prev.typeID, kind: wire.KindFull, payload: buf, mat: true}
+					prev.kind, prev.payload, prev.base, prev.mat = wire.KindFull, buf, nil, true
 				}
-				base = prev.payload
+				base, baseHash = prev.payload, prev.fingerprint()
+			case haveCur:
+				base, baseHash = cur.payload, cur.hash
+				if !cur.hashed {
+					baseHash = wire.DeltaBaseHash(base)
+				}
 			default:
-				cur, ok := rb.latest[rec.id]
-				if !ok {
-					return fmt.Errorf("%w: object %d has no earlier payload in the stream", ErrDeltaBase, rec.id)
-				}
-				base = cur.payload
+				return fmt.Errorf("%w: object %d has no earlier payload in the stream", ErrDeltaBase, rec.id)
 			}
-			if _, err := wire.ValidateDelta(rec.payload, len(base), wire.DeltaBaseHash(base)); err != nil {
+			if _, err := wire.ValidateDelta(rec.payload, len(base), baseHash); err != nil {
 				if errors.Is(err, wire.ErrBaseMismatch) {
 					return fmt.Errorf("%w: object %d: %v", ErrDeltaBase, rec.id, err)
 				}
 				return fmt.Errorf("%w: object %d: %v", ErrBadBody, rec.id, err)
 			}
 			st.base = base
+			// A delta too scattered to carry leaves its result unhashed,
+			// to be hashed lazily like a full record.
+			st.hash, st.hashed = wire.DeltaResultHash(base, baseHash, rec.payload)
 		}
-		staged[rec.id] = st
+		if prev != nil {
+			prev.superseded = true
+		}
+		rb.index.set(rec.id, len(rb.staged))
+		rb.staged = append(rb.staged, st)
 	}
 	// Commit.
 	if h.mode == Full {
@@ -160,29 +200,40 @@ func (rb *Rebuilder) Apply(body []byte) error {
 	if !hasKind {
 		rb.bodies = append(rb.bodies, body)
 	}
-	for id, st := range staged {
-		rb.latest[id] = rb.commitRecord(id, st, hasKind)
-		if id > rb.maxID {
-			rb.maxID = id
+	for i := range rb.staged {
+		st := &rb.staged[i]
+		if st.superseded {
+			continue
+		}
+		rb.latest[st.id] = rb.commitRecord(st, hasKind)
+		if st.id > rb.maxID {
+			rb.maxID = st.id
 		}
 	}
 	rb.seen++
 	return nil
 }
 
+// dropStaged empties Apply's record scratch, clearing the used prefix so no
+// body aliases outlive the call.
+func (rb *Rebuilder) dropStaged() {
+	clear(rb.staged)
+	rb.staged = rb.staged[:0]
+}
+
 // commitRecord turns a validated staged record into the object's latest
-// payload. Version-1 records alias the retained body; version-2 records are
-// materialized into owned storage, reusing the object's existing owned
+// payload. Version-1 records alias the retained body; delta-body records
+// are materialized into owned storage, reusing the object's existing owned
 // buffer whenever the new payload fits its capacity — the steady-state
 // same-size re-apply allocates nothing.
-func (rb *Rebuilder) commitRecord(id uint64, st stagedRec, hasKind bool) latestRec {
+func (rb *Rebuilder) commitRecord(st *stagedRec, hasKind bool) latestRec {
 	if !hasKind {
 		return latestRec{typeID: st.typeID, payload: st.payload}
 	}
 	if st.mat {
-		return latestRec{typeID: st.typeID, payload: st.payload, owned: true}
+		return latestRec{typeID: st.typeID, payload: st.payload, owned: true, hashed: st.hashed, hash: st.hash}
 	}
-	cur, exists := rb.latest[id]
+	cur, exists := rb.latest[st.id]
 	if st.kind == wire.KindDelta {
 		n := len(st.base)
 		var dst []byte
@@ -197,7 +248,7 @@ func (rb *Rebuilder) commitRecord(id uint64, st stagedRec, hasKind bool) latestR
 			// only overwrite literal runs.
 			wire.ApplyValidatedDelta(dst, st.base, st.payload)
 		}
-		return latestRec{typeID: st.typeID, payload: dst, owned: true}
+		return latestRec{typeID: st.typeID, payload: dst, owned: true, hashed: st.hashed, hash: st.hash}
 	}
 	n := len(st.payload)
 	var dst []byte
@@ -207,7 +258,97 @@ func (rb *Rebuilder) commitRecord(id uint64, st stagedRec, hasKind bool) latestR
 		dst = make([]byte, n)
 	}
 	copy(dst, st.payload)
-	return latestRec{typeID: st.typeID, payload: dst, owned: true}
+	return latestRec{typeID: st.typeID, payload: dst, owned: true, hashed: st.hashed, hash: st.hash}
+}
+
+// checkFingerprints reports the first object whose carried fingerprint
+// differs from a fresh hash of its payload. It backs the tests' invariant
+// that carrying a fingerprint through deltas never drifts from hashing.
+func (rb *Rebuilder) checkFingerprints() error {
+	for id, rec := range rb.latest {
+		if rec.hashed && rec.hash != wire.DeltaBaseHash(rec.payload) {
+			return fmt.Errorf("object %d: carried fingerprint %#08x, payload hashes to %#08x",
+				id, rec.hash, wire.DeltaBaseHash(rec.payload))
+		}
+	}
+	return nil
+}
+
+// stageIndex maps an object id to its newest record among the staged
+// records of the body being applied: an open-addressing table whose slots
+// are tagged with the body's generation. Starting a body is one increment
+// rather than a clearing pass, so a table grown by a large Full body costs
+// nothing on the small incrementals that follow.
+type stageIndex struct {
+	slots []stageSlot // linear probing; len is zero or a power of two
+	gen   uint32
+	n     int // slots holding the current generation
+}
+
+type stageSlot struct {
+	id  uint64
+	gen uint32
+	at  int32
+}
+
+// next starts a new body: every slot of an older generation reads as empty.
+func (x *stageIndex) next() {
+	x.gen++
+	x.n = 0
+	if x.gen == 0 {
+		// Wrapped: tags from 2^32 bodies ago would alias the new generation.
+		clear(x.slots)
+		x.gen = 1
+	}
+}
+
+func (x *stageIndex) home(id uint64) int {
+	return int((id*0x9e3779b97f4a7c15)>>32) & (len(x.slots) - 1)
+}
+
+// find returns the staged position recorded for id in this body, or -1.
+func (x *stageIndex) find(id uint64) int {
+	if len(x.slots) == 0 {
+		return -1
+	}
+	mask := len(x.slots) - 1
+	for i := x.home(id); ; i = (i + 1) & mask {
+		s := &x.slots[i]
+		if s.gen != x.gen {
+			return -1
+		}
+		if s.id == id {
+			return int(s.at)
+		}
+	}
+}
+
+// set records at as id's newest staged position, growing the table to keep
+// it at most half full.
+func (x *stageIndex) set(id uint64, at int) {
+	if 2*(x.n+1) > len(x.slots) {
+		old := x.slots
+		x.slots = make([]stageSlot, max(16, 2*len(old)))
+		x.n = 0
+		for _, s := range old {
+			if s.gen == x.gen {
+				x.set(s.id, int(s.at))
+			}
+		}
+	}
+	mask := len(x.slots) - 1
+	for i := x.home(id); ; i = (i + 1) & mask {
+		s := &x.slots[i]
+		if s.gen != x.gen {
+			*s = stageSlot{id: id, gen: x.gen, at: int32(at)}
+			x.n++
+			return
+		}
+		if s.id == id {
+			s.at = int32(at)
+			return
+		}
+	}
 }
 
 // ApplyRun folds a sequence of checkpoint bodies into the rebuilder as one
@@ -228,7 +369,7 @@ func (rb *Rebuilder) ApplyRun(bodies [][]byte) error {
 		// The run extends the current state rather than replacing it: stage
 		// onto a copy so partial failure cannot leak into rb. The copies are
 		// marked un-owned: scratch must never materialize a delta in place
-		// over a buffer rb still references.
+		// over a buffer rb still references. Their fingerprints carry over.
 		for id, rec := range rb.latest {
 			rec.owned = false
 			scratch.latest[id] = rec
@@ -343,7 +484,7 @@ type BodyInfo struct {
 	Mode    Mode
 	Epoch   uint64
 	Records int
-	Deltas  int // records of kind wire.KindDelta (version-2 bodies only)
+	Deltas  int // records of kind wire.KindDelta (version-3 bodies only)
 	Bytes   int
 }
 
@@ -371,7 +512,7 @@ func InspectBodyKinds(body []byte, fn func(id uint64, t TypeID, kind byte, paylo
 	}
 	info := BodyInfo{Version: h.version, Mode: h.mode, Epoch: h.epoch, Bytes: len(body)}
 	for {
-		rec, ok, err := nextRecord(d, h.version == bodyVersion2)
+		rec, ok, err := nextRecord(d, h.version == bodyVersionDelta)
 		if err != nil {
 			return info, err
 		}
@@ -398,17 +539,17 @@ func InspectBodyKinds(body []byte, fn func(id uint64, t TypeID, kind byte, paylo
 // before Rebuilder.Apply commits to a chain, so a truncated or mis-anchored
 // run fails with ErrDeltaBase up front instead of mid-rebuild.
 //
-// Runs with no version-2 body are vacuously coherent and return nil without
+// Runs with no version-3 body are vacuously coherent and return nil without
 // decoding records.
 func CheckDeltaCoherence(bodies [][]byte) error {
-	hasV2 := false
+	hasDelta := false
 	for _, b := range bodies {
-		if len(b) > 0 && b[0] == bodyVersion2 {
-			hasV2 = true
+		if len(b) > 0 && b[0] == bodyVersionDelta {
+			hasDelta = true
 			break
 		}
 	}
-	if !hasV2 {
+	if !hasDelta {
 		return nil
 	}
 	have := make(map[uint64]struct{})
@@ -422,7 +563,7 @@ func CheckDeltaCoherence(bodies [][]byte) error {
 			clear(have)
 		}
 		for {
-			rec, ok, err := nextRecord(d, h.version == bodyVersion2)
+			rec, ok, err := nextRecord(d, h.version == bodyVersionDelta)
 			if err != nil {
 				return fmt.Errorf("body %d: %w", i+1, err)
 			}

@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -272,14 +273,16 @@ type ShadowStage struct {
 }
 
 // copyPayload copies payload into a cache-owned buffer (recycled when one
-// fits) and fingerprints it, returning the stage entry to accumulate.
-func (c *ShadowCache) copyPayload(id uint64, payload []byte) ShadowStage {
+// fits) and returns the stage entry to accumulate. hash is the payload's
+// wire.DeltaBaseHash: carried by the winning delta (wire.AppendDeltaHashed),
+// or computed by the emitter for a full payload.
+func (c *ShadowCache) copyPayload(id uint64, payload []byte, hash uint32) ShadowStage {
 	c.mu.Lock()
 	buf := c.getBufLocked(len(payload))
 	c.mu.Unlock()
 	buf = buf[:len(payload)]
 	copy(buf, payload)
-	return ShadowStage{id: id, buf: buf, hash: wire.DeltaBaseHash(buf)}
+	return ShadowStage{id: id, buf: buf, hash: hash}
 }
 
 // getBufLocked returns a buffer with capacity for n bytes, recycling a
@@ -386,6 +389,28 @@ func (c *ShadowCache) CommitEpoch(epoch uint64, mode Mode) {
 		}
 	}
 	c.count.Store(int64(len(c.entries)))
+}
+
+// checkFingerprints reports the first shadow — committed or pending —
+// whose fingerprint differs from a fresh hash of its bytes. It backs the
+// tests' invariant that fingerprints carried from winning deltas never
+// drift from hashing.
+func (c *ShadowCache) checkFingerprints() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for id, e := range c.entries {
+		if e.committed != nil && e.hash != wire.DeltaBaseHash(e.committed) {
+			return fmt.Errorf("object %d: committed shadow fingerprint %#08x, bytes hash to %#08x",
+				id, e.hash, wire.DeltaBaseHash(e.committed))
+		}
+		for _, p := range e.pend {
+			if p.hash != wire.DeltaBaseHash(p.buf) {
+				return fmt.Errorf("object %d: epoch %d shadow fingerprint %#08x, bytes hash to %#08x",
+					id, p.epoch, p.hash, wire.DeltaBaseHash(p.buf))
+			}
+		}
+	}
+	return nil
 }
 
 // AbortEpoch drops epoch's pending shadows — its body never became part of

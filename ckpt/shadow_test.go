@@ -3,10 +3,12 @@ package ckpt
 import (
 	"bytes"
 	"testing"
+
+	"ickpt/wire"
 )
 
 func stage1(c *ShadowCache, epoch, id uint64, payload []byte) {
-	c.Stage(epoch, []ShadowStage{c.copyPayload(id, payload)})
+	c.Stage(epoch, []ShadowStage{c.copyPayload(id, payload, wire.DeltaBaseHash(payload))})
 }
 
 func TestShadowDecideLifecycle(t *testing.T) {
@@ -192,7 +194,7 @@ func TestShadowChurnBackoff(t *testing.T) {
 func TestShadowFullCommitPrunes(t *testing.T) {
 	c := NewShadowCache(0)
 	pay := bytes.Repeat([]byte{3}, 16)
-	c.Stage(1, []ShadowStage{c.copyPayload(10, pay), c.copyPayload(11, pay)})
+	c.Stage(1, []ShadowStage{c.copyPayload(10, pay, wire.DeltaBaseHash(pay)), c.copyPayload(11, pay, wire.DeltaBaseHash(pay))})
 	c.CommitEpoch(1, Full)
 	if c.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", c.Len())

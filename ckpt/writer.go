@@ -42,7 +42,7 @@ type Writer struct {
 
 	// shadow, when set, enables sub-object delta records: the emitter diffs
 	// large payloads against the cache and bodies carry per-record kinds
-	// (body version 2). Staged shadow updates resolve with the epoch —
+	// (body version 3). Staged shadow updates resolve with the epoch —
 	// through the session when one is attached, immediately otherwise.
 	shadow *ShadowCache
 
@@ -93,7 +93,7 @@ func WithEncoder(enc *wire.Encoder) WriterOption {
 // than minSize bytes is remembered in a shadow cache across epochs, and an
 // object whose payload changed a little is shipped as a copy/patch delta
 // against its previous payload (wire.KindDelta) instead of in full. Bodies
-// gain a per-record kind byte (body version 2); Rebuilder and stablelog
+// gain a per-record kind byte (body version 3); Rebuilder and stablelog
 // replay materialize deltas transparently. Payloads that churn heavily fall
 // back to full records adaptively. minSize <= 0 shadows every payload.
 func WithDeltaEncoding(minSize int) WriterOption {

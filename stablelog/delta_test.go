@@ -127,6 +127,45 @@ func TestRecoverDeltaChain(t *testing.T) {
 	}
 }
 
+// TestRecoverRejectsVersion2DeltaLog: a log written before delta bases were
+// fingerprinted with CRC-32C (delta bodies of version 2) fails recovery as
+// a malformed body, not as a base mismatch, and leaves the rebuilder empty.
+func TestRecoverRejectsVersion2DeltaLog(t *testing.T) {
+	path := tempLogPath(t)
+	l, err := stablelog.Create(path)
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	defer l.Close()
+	b := &dblob{info: ckpt.NewInfo(ckpt.NewDomain()), data: make([]byte, 512)}
+	wr := ckpt.NewWriter(ckpt.WithDeltaEncoding(0))
+	for _, mode := range []ckpt.Mode{ckpt.Full, ckpt.Incremental} {
+		b.data[7]++
+		b.info.Mark()
+		wr.Start(mode)
+		if err := wr.Checkpoint(b); err != nil {
+			t.Fatal(err)
+		}
+		body, _, err := wr.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := append([]byte(nil), body...)
+		old[0] = 2 // the version byte
+		if _, err := l.Append(mode, wr.Epoch(), old); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rb := ckpt.NewRebuilder(dblobRegistry())
+	err = l.Recover(rb)
+	if !errors.Is(err, ckpt.ErrBadBody) || errors.Is(err, ckpt.ErrDeltaBase) {
+		t.Fatalf("Recover = %v, want ErrBadBody and not ErrDeltaBase", err)
+	}
+	if rb.Objects() != 0 {
+		t.Fatalf("failed Recover left %d objects in the rebuilder", rb.Objects())
+	}
+}
+
 // TestRecoverBaselessDeltaIncoherent anchors a delta-bearing incremental to
 // a full checkpoint that lacks the patched object. Framing, checksums and
 // the segment chain all hold, but the patch has no base — replay must fail

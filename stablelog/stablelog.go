@@ -220,6 +220,7 @@ func (l *Log) scan(truncateTorn bool) error {
 	}
 	off := int64(len(fileMagic))
 	hdr := make([]byte, segmentHeaderSize)
+	var buf []byte // payload scratch, grown to the largest segment and reused
 	for {
 		n, err := l.f.ReadAt(hdr, off)
 		if err != nil && !errors.Is(err, io.EOF) {
@@ -228,7 +229,7 @@ func (l *Log) scan(truncateTorn bool) error {
 		if n == 0 {
 			break // clean end
 		}
-		seg, payload, segErr := l.readSegmentAt(off, hdr[:n])
+		seg, segErr := l.readSegmentAt(off, hdr[:n], &buf)
 		if segErr != nil {
 			if truncateTorn && errors.Is(segErr, ErrCorrupt) {
 				if err := l.f.Truncate(off); err != nil {
@@ -238,7 +239,6 @@ func (l *Log) scan(truncateTorn bool) error {
 			}
 			return segErr
 		}
-		_ = payload
 		l.segs = append(l.segs, seg)
 		off += int64(segmentHeaderSize + seg.Length)
 	}
@@ -250,13 +250,14 @@ func (l *Log) scan(truncateTorn bool) error {
 }
 
 // readSegmentAt parses and validates the segment whose header starts at off.
-// hdr holds the bytes read at off (possibly fewer than a full header).
-func (l *Log) readSegmentAt(off int64, hdr []byte) (SegmentInfo, []byte, error) {
+// hdr holds the bytes read at off (possibly fewer than a full header). The
+// payload is read into *buf, which is grown when it is too small.
+func (l *Log) readSegmentAt(off int64, hdr []byte, buf *[]byte) (SegmentInfo, error) {
 	if len(hdr) < segmentHeaderSize {
-		return SegmentInfo{}, nil, fmt.Errorf("%w: partial header at %d", ErrCorrupt, off)
+		return SegmentInfo{}, fmt.Errorf("%w: partial header at %d", ErrCorrupt, off)
 	}
 	if binary.LittleEndian.Uint32(hdr) != segmentMagic {
-		return SegmentInfo{}, nil, fmt.Errorf("%w: bad magic at %d", ErrCorrupt, off)
+		return SegmentInfo{}, fmt.Errorf("%w: bad magic at %d", ErrCorrupt, off)
 	}
 	seg := SegmentInfo{
 		Seq:    binary.LittleEndian.Uint64(hdr[4:]),
@@ -267,24 +268,27 @@ func (l *Log) readSegmentAt(off int64, hdr []byte) (SegmentInfo, []byte, error) 
 		CRC:    binary.LittleEndian.Uint32(hdr[25:]),
 	}
 	if seg.Mode != ckpt.Full && seg.Mode != ckpt.Incremental {
-		return SegmentInfo{}, nil, fmt.Errorf("%w: bad mode %d at %d", ErrCorrupt, seg.Mode, off)
+		return SegmentInfo{}, fmt.Errorf("%w: bad mode %d at %d", ErrCorrupt, seg.Mode, off)
 	}
 	if want := uint64(len(l.segs) + 1); seg.Seq != want {
-		return SegmentInfo{}, nil, fmt.Errorf("%w: seq %d at %d, want %d", ErrCorrupt, seg.Seq, off, want)
+		return SegmentInfo{}, fmt.Errorf("%w: seq %d at %d, want %d", ErrCorrupt, seg.Seq, off, want)
 	}
-	payload := make([]byte, seg.Length)
+	if cap(*buf) < seg.Length {
+		*buf = make([]byte, seg.Length)
+	}
+	payload := (*buf)[:seg.Length]
 	if seg.Length > 0 {
 		if _, err := l.f.ReadAt(payload, off+segmentHeaderSize); err != nil {
 			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				return SegmentInfo{}, nil, fmt.Errorf("%w: short payload at %d", ErrCorrupt, off)
+				return SegmentInfo{}, fmt.Errorf("%w: short payload at %d", ErrCorrupt, off)
 			}
-			return SegmentInfo{}, nil, fmt.Errorf("%w: payload at %d: %w", ErrIO, off, err)
+			return SegmentInfo{}, fmt.Errorf("%w: payload at %d: %w", ErrIO, off, err)
 		}
 	}
 	if crc32.ChecksumIEEE(payload) != seg.CRC {
-		return SegmentInfo{}, nil, fmt.Errorf("%w: checksum mismatch at %d", ErrCorrupt, off)
+		return SegmentInfo{}, fmt.Errorf("%w: checksum mismatch at %d", ErrCorrupt, off)
 	}
-	return seg, payload, nil
+	return seg, nil
 }
 
 // Append writes one checkpoint body as a new segment and returns its

@@ -116,3 +116,34 @@ func BenchmarkEncodeString(b *testing.B) {
 		e.String(s)
 	}
 }
+
+// BenchmarkDeltaFingerprint compares fingerprinting a delta's result by
+// hashing all of it (full) with carrying the base's fingerprint over the
+// literal runs (carried), for a 16 KiB payload with one 64-byte patch.
+func BenchmarkDeltaFingerprint(b *testing.B) {
+	base := make([]byte, 16<<10)
+	for i := range base {
+		base[i] = byte(i * 7)
+	}
+	next := append([]byte(nil), base...)
+	for i := 5000; i < 5064; i++ {
+		next[i] ^= 0xa5
+	}
+	var e Encoder
+	if !AppendDelta(&e, base, next, len(next)) {
+		b.Fatal("encode")
+	}
+	delta, h := e.Bytes(), DeltaBaseHash(base)
+	b.Run("full", func(b *testing.B) {
+		b.SetBytes(int64(len(next)))
+		for range b.N {
+			_ = DeltaBaseHash(next)
+		}
+	})
+	b.Run("carried", func(b *testing.B) {
+		b.SetBytes(int64(len(next)))
+		for range b.N {
+			_, _ = DeltaResultHash(base, h, delta)
+		}
+	})
+}

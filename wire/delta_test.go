@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"hash/crc32"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -35,12 +37,14 @@ func TestDeltaRoundTrip(t *testing.T) {
 				next = mutate(base, frac, int64(size)+7)
 			}
 			var e Encoder
-			if !AppendDelta(&e, base, next, len(next)) {
+			carried, ok := AppendDeltaHashed(&e, base, DeltaBaseHash(base), next, len(next))
+			if !ok {
 				if size >= 64 && frac <= 0.1 {
 					t.Errorf("size %d frac %g: delta did not fit in full payload size", size, frac)
 				}
 				continue
 			}
+			checkCarried(t, base, next, e.Bytes(), carried)
 			got, err := ApplyDelta(base, e.Bytes())
 			if err != nil {
 				t.Fatalf("size %d frac %g: apply: %v", size, frac, err)
@@ -133,12 +137,100 @@ func TestValidateDeltaRejectsGarbage(t *testing.T) {
 	}
 }
 
+// checkCarried asserts that every fingerprint of a delta's result — the
+// encoder's, DeltaResultHash's when it carries, and the carry run without
+// a cost budget, so the carry arithmetic is checked on payloads of any
+// size — equals a fresh hash of next. It reports whether DeltaResultHash
+// carried.
+func checkCarried(t *testing.T, base, next, delta []byte, carried uint32) bool {
+	t.Helper()
+	want := DeltaBaseHash(next)
+	if carried != want {
+		t.Fatalf("encoder fingerprint %#08x, DeltaBaseHash(next) = %#08x", carried, want)
+	}
+	if got, _ := carryHash(base, DeltaBaseHash(base), delta, math.MaxInt); got != want {
+		t.Fatalf("unbudgeted carry = %#08x, DeltaBaseHash(next) = %#08x", got, want)
+	}
+	got, ok := DeltaResultHash(base, DeltaBaseHash(base), delta)
+	if ok && got != want {
+		t.Fatalf("DeltaResultHash = %#08x, DeltaBaseHash(next) = %#08x", got, want)
+	}
+	return ok
+}
+
+// TestDeltaCarriedFingerprintRuns pins the carry at the edges of the
+// payload: a literal run at offset 0, one ending at the tail, one covering
+// the whole payload, runs separated by copy runs long enough to need the
+// table multiplies, and the empty payload. Scattered edits — more runs than
+// carrying pays for — must still yield the exact fingerprint from the
+// encoder, while DeltaResultHash declines.
+func TestDeltaCarriedFingerprintRuns(t *testing.T) {
+	flip := func(b []byte, from, to int) []byte {
+		out := append([]byte(nil), b...)
+		for i := from; i < to; i++ {
+			out[i] ^= 0x5a
+		}
+		return out
+	}
+	big := make([]byte, 1<<17+300)
+	rand.New(rand.NewSource(9)).Read(big)
+	bigNext := flip(flip(flip(big, 0, 3), 70000, 70010), len(big)-5, len(big))
+	page := make([]byte, 4096)
+	rand.New(rand.NewSource(10)).Read(page)
+	scattered := append([]byte(nil), big[:8192]...)
+	for i := 0; i < len(scattered); i += 32 {
+		scattered[i] ^= 1
+	}
+	cases := []struct {
+		name       string
+		base, next []byte
+		carries    bool
+	}{
+		{"empty", nil, nil, true},
+		{"identity", page, page, true},
+		{"head", page, flip(page, 0, 4), true},
+		{"tail", page, flip(page, 4090, 4096), true},
+		{"whole", page, flip(page, 0, 4096), true},
+		{"one-byte", page[:1], flip(page[:1], 0, 1), false},
+		{"far-apart", big, bigNext, true},
+		{"scattered", big[:8192], scattered, false},
+	}
+	for _, tc := range cases {
+		var e Encoder
+		carried, ok := AppendDeltaHashed(&e, tc.base, DeltaBaseHash(tc.base), tc.next, len(tc.next)+16)
+		if !ok {
+			t.Fatalf("%s: delta did not encode", tc.name)
+		}
+		if got := checkCarried(t, tc.base, tc.next, e.Bytes(), carried); got != tc.carries {
+			t.Fatalf("%s: DeltaResultHash carried = %v, want %v", tc.name, got, tc.carries)
+		}
+	}
+}
+
+// TestCRCShiftMatchesZeros checks the zero-run shift against hashing real
+// zero bytes, across lengths that exercise each table byte.
+func TestCRCShiftMatchesZeros(t *testing.T) {
+	zeros := make([]byte, 1<<17+3)
+	for _, k := range []int{0, 1, 7, 1024, 1025, 65535, 65536, 1<<17 + 3} {
+		for _, s := range []uint32{1, 0xdeadbeef, 1 << 31} {
+			want := ^crc32.Update(^s, castagnoli, zeros[:k])
+			if got := crcShift(s, k); got != want {
+				t.Fatalf("crcShift(%#x, %d) = %#x, want %#x", s, k, got, want)
+			}
+		}
+	}
+}
+
 // FuzzDeltaRoundTrip: for random base/next pairs of equal length,
-// encode-delta followed by apply reproduces next exactly, and applying onto
-// a base of the wrong length errors cleanly instead of corrupting or
+// encode-delta followed by apply reproduces next exactly, the fingerprint
+// carried over the literal runs equals a fresh hash of next, and applying
+// onto a base of the wrong length errors cleanly instead of corrupting or
 // panicking.
 func FuzzDeltaRoundTrip(f *testing.F) {
 	f.Add([]byte{}, []byte{}, uint8(0))
+	f.Add([]byte("0123456789abcdef0123"), []byte("X123456789abcdef0123"), uint8(0))
+	f.Add([]byte("0123456789abcdef0123"), []byte("0123456789abcdef012X"), uint8(2))
+	f.Add([]byte("0123456789abcdef0123"), []byte("ABCDEFGHIJKLMNOPQRST"), uint8(5))
 	f.Add([]byte("hello world, hello world"), []byte("helloворлд, hello world"), uint8(1))
 	f.Add(bytes.Repeat([]byte{0xaa}, 512), bytes.Repeat([]byte{0xaa}, 512), uint8(9))
 	seed := make([]byte, 256)
@@ -151,9 +243,11 @@ func FuzzDeltaRoundTrip(f *testing.F) {
 			next = append(next, base[len(next):]...)
 		}
 		var e Encoder
-		if !AppendDelta(&e, base, next, len(next)+16) {
+		carried, ok := AppendDeltaHashed(&e, base, DeltaBaseHash(base), next, len(next)+16)
+		if !ok {
 			return // over limit: encoder fell back, nothing to check
 		}
+		checkCarried(t, base, next, e.Bytes(), carried)
 		got, err := ApplyDelta(base, e.Bytes())
 		if err != nil {
 			t.Fatalf("apply: %v", err)
